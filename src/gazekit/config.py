@@ -19,7 +19,8 @@ lists comma-separated.
     pose_dim            head-pose feature width
     gaze_hidden         gaze head hidden width
     eye_decoder_channels, region_decoder_channels
-    band_top, band_bottom   eye-band rows (region split bounds)
+    band_top, band_bottom   eye-band rows (region split bounds); must equal
+                        the scene geometry's band rows at face_size
     lambda_eye, lambda_region  loss weights
     epochs, batch_size, base_lr, lr_milestones, lr_gamma,
     beta1, beta2, adam_eps, weight_decay, seed, data_count, split_ratio
@@ -30,6 +31,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 
+from .synth import default_geometry
 from .tensor import ConfigError
 
 CONFIG_VERSION = 1
@@ -93,8 +95,12 @@ class ModelConfig:
             raise ConfigError("eye decoder has exactly two stages")
         if len(self.pose_channels) != 3:
             raise ConfigError("pose branch has exactly three stages")
-        if not 0 <= self.band_top < self.band_bottom <= self.face_size:
-            raise ConfigError("band rows must satisfy 0 <= top < bottom <= face_size")
+        rows = default_geometry(self.face_size).band_rows
+        if (self.band_top, self.band_bottom) != rows:
+            raise ConfigError(
+                f"band rows (band_top, band_bottom) = {(self.band_top, self.band_bottom)} differ from "
+                f"the eye band {rows} of the scene geometry at face_size {self.face_size}"
+            )
         if min(self.lambda_eye, self.lambda_region) < 0:
             raise ConfigError("loss weights must be non-negative")
 

@@ -250,30 +250,40 @@ class GazeNet(Module):
             if eye.data.shape[1:] != (3, eh, ew) or eye.data.shape[0] != face.data.shape[0]:
                 raise DimensionError(f"eyes must be (b,3,{eh},{ew}), got {eye.data.shape}")
 
-    def forward(self, face: Tensor, eye_l: Tensor, eye_r: Tensor, sink: Optional[MapSink] = None) -> ForwardOutput:
+    def _encode(self, face: Tensor, eye_l: Tensor, eye_r: Tensor) -> tuple[Tensor, MaskedFeatures]:
+        """Eye features and the mask split of the face features."""
         self._check_inputs(face, eye_l, eye_r)
-        b = face.data.shape[0]
         eye_feats = self.eye_encoder(eye_l, eye_r)
-        features = self.face_encoder(face)
-        gate, kept, dropped = self.splitter(features)
+        gate, kept, dropped = self.splitter(self.face_encoder(face))
+        return eye_feats, MaskedFeatures(gate, kept, dropped)
+
+    def _gaze(self, face: Tensor, eye_feats: Tensor, up: Tensor) -> Tensor:
+        """Gaze angles from the attended kept stream, eye features and pose."""
+        pose = self.pose_branch(face)
+        pooled = reshape(global_avg_pool(up), (face.data.shape[0], self.cfg.channels))
+        return self.gaze_head(pooled, eye_feats, pose)
+
+    def forward(self, face: Tensor, eye_l: Tensor, eye_r: Tensor, sink: Optional[MapSink] = None) -> ForwardOutput:
+        eye_feats, split = self._encode(face, eye_l, eye_r)
         if sink is not None:
-            sink.add("mask_keep", gate.data[0].mean(axis=0))
-            sink.add("mask_drop", (1.0 - gate.data[0]).mean(axis=0))
-        up = self.kept_attention(kept, sink, "upper.")
-        low = self.dropped_attention(dropped, sink, "lower.")
+            sink.add("mask_keep", split.gate.data[0].mean(axis=0))
+            sink.add("mask_drop", (1.0 - split.gate.data[0]).mean(axis=0))
+        up = self.kept_attention(split.kept, sink, "upper.")
+        low = self.dropped_attention(split.dropped, sink, "lower.")
         recon_l, recon_r = self.eye_decoder(up)
         top, mid, bot = self.region_decoder(low)
-        pose = self.pose_branch(face)
-        pooled = reshape(global_avg_pool(up), (b, self.cfg.channels))
-        gaze = self.gaze_head(pooled, eye_feats, pose)
-        return ForwardOutput(gaze, recon_l, recon_r, top, mid, bot, MaskedFeatures(gate, kept, dropped))
+        gaze = self._gaze(face, eye_feats, up)
+        return ForwardOutput(gaze, recon_l, recon_r, top, mid, bot, split)
 
     __call__ = forward
 
     def predict(self, face_batch: np.ndarray, eye_l_batch: np.ndarray, eye_r_batch: np.ndarray) -> np.ndarray:
-        """Forward pass outside any tape; returns (b, 2) angles in radians."""
-        out = self.forward(Tensor(face_batch), Tensor(eye_l_batch), Tensor(eye_r_batch))
-        return out.gaze.data
+        """(b, 2) gaze angles in radians, outside any tape. Only the gaze path
+        runs; the dropped cascade and both decoders feed only the
+        reconstruction losses, so they are skipped."""
+        face = Tensor(face_batch)
+        eye_feats, split = self._encode(face, Tensor(eye_l_batch), Tensor(eye_r_batch))
+        return self._gaze(face, eye_feats, self.kept_attention(split.kept)).data
 
     def state_arrays(self) -> list[tuple[str, np.ndarray]]:
         return [(name, p.data) for name, p in self.named_parameters()]
@@ -355,7 +365,12 @@ def load_checkpoint(path, cfg: ModelConfig) -> dict[str, np.ndarray]:
     records: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode()
+        try:
+            name = bytes(take(name_len)).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError("record name is not valid utf-8") from None
+        if name in records:
+            raise CheckpointError(f"duplicate record {name!r}")
         (rank,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
         n = 1

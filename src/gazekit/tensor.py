@@ -2,7 +2,9 @@
 
 Storage is a numpy array (row-major, float64 by default). Operations record
 themselves on the active :class:`Tape`; :func:`backward` replays the tape in
-reverse and accumulates gradients into ``Tensor.grad``. With no active tape
+reverse and accumulates gradients into ``Tensor.grad``. When the replay ends
+the tape releases everything it recorded, so a step's activations are freed by
+reference counting as soon as the caller drops its tensors. With no active tape
 every op is a plain forward computation, which is what evaluation and the
 finite-difference probes use.
 """
@@ -38,10 +40,6 @@ def set_debug_checks(enabled: bool) -> None:
     """Toggle finiteness assertions after every forward op (slow, test-only)."""
     global _debug_checks
     _debug_checks = bool(enabled)
-
-
-def debug_checks_enabled() -> bool:
-    return _debug_checks
 
 
 class Tensor:
@@ -88,9 +86,6 @@ class Tensor:
             raise UsageError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -131,9 +126,13 @@ class Tape:
 
     Entries are appended in execution order, so every op's inputs precede it.
     A tape supports exactly one backward pass; recording onto or replaying a
-    consumed tape raises :class:`UsageError`. A tape and the tensors recorded
-    on it belong to one worker; independent batches can run under separate
-    tapes in separate workers since forward never mutates shared state.
+    consumed tape raises :class:`UsageError`. The tape is released when its
+    backward pass ends, and ``len(tape)`` is 0 afterwards: recorded tensors
+    refer to their tape, so a tape that kept its entries would form a
+    reference cycle holding the whole step's graph until a cyclic collection.
+    A tape and the tensors recorded on it belong to one worker; independent
+    batches can run under separate tapes in separate workers since forward
+    never mutates shared state.
     """
 
     _active: Optional["Tape"] = None
@@ -186,6 +185,10 @@ def backward(loss: Tensor) -> None:
     Tensors that were recorded on the tape but are not reachable from the loss
     end up with zero gradients. Gradients accumulate into any pre-existing
     ``grad`` arrays (set them to None to reset).
+
+    The tape is released when the pass ends: its entries, with the backward
+    functions and the arrays they saved, are cleared, so ``len(tape)`` is 0
+    afterwards.
     """
     if loss.data.size != 1:
         raise UsageError("backward requires a scalar loss")
@@ -226,6 +229,10 @@ def backward(loss: Tensor) -> None:
         for t in inputs + (out,):
             if t.requires_grad and t.grad is None:
                 t.grad = np.zeros_like(t.data)
+    # Released all at once, not entry by entry during the replay: freeing each
+    # saved array as soon as it was used let the allocator hand the heap top
+    # back to the OS and fault it in again a moment later, every step.
+    tape.entries.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -14,8 +15,10 @@ from gazekit.config import (
     tiny_model_config,
     write_config_text,
 )
+from gazekit.model import GazeNet
 from gazekit.synth import default_geometry, dump_split, load_split, dataset_generate
 from gazekit.tensor import ConfigError
+from gazekit.train import train_loop
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +59,16 @@ def test_config_comments_and_spacing():
 def test_config_validation_catches_bad_groups():
     with pytest.raises(ConfigError):
         parse_config_text("config_version = 1\ngroups = 5\n")
+
+
+def test_config_validation_catches_band_rows_off_the_geometry():
+    # the default band rows belong to face_size 64; at 32 the eye band is 10..16
+    cfg = ModelConfig(face_size=32, encoder_channels=(16, 32, 64), region_decoder_channels=(16, 8, 8))
+    with pytest.raises(ConfigError, match=r"\(19, 31\).*\(10, 16\)"):
+        cfg.validate()
+    fixed = dataclasses.replace(cfg, band_top=10, band_bottom=16)
+    train, test = dataset_generate(0, 4, 0.5, default_geometry(32), fixed.eye_hw)
+    train_loop(GazeNet(fixed), train, test, TrainConfig(epochs=1, batch_size=2))
 
 
 def test_digest_changes_with_architecture():

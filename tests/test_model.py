@@ -228,6 +228,16 @@ def test_float32_model_runs_and_stays_float32():
     assert out.gaze.data.dtype == np.float32
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_predict_equals_forward_gaze_bitwise(dtype):
+    net = GazeNet(tiny_model_config(), seed=5, dtype=dtype)
+    face, el, er = (Tensor(t.data.astype(dtype)) for t in tiny_inputs(batch=3, seed=16))
+    got = net.predict(face.data, el.data, er.data)
+    want = net(face, el, er).gaze.data
+    assert got.dtype == dtype
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format
 
@@ -292,3 +302,26 @@ def test_checkpoint_rejects_future_version(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
         load_checkpoint(path, net.cfg)
+
+
+def _checkpoint_with_names(tmp_path, names, edit):
+    net = tiny_net(seed=7)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, net.cfg, [(n, np.zeros(2)) for n in names])
+    blob = path.read_bytes()
+    old, new = edit
+    assert blob.count(old) == 1 and len(old) == len(new)
+    path.write_bytes(blob.replace(old, new))
+    return path, net.cfg
+
+
+def test_checkpoint_rejects_non_utf8_record_name(tmp_path):
+    path, cfg = _checkpoint_with_names(tmp_path, ["param/a"], (b"param/a", b"param/\xff"))
+    with pytest.raises(CheckpointError, match="utf-8"):
+        load_checkpoint(path, cfg)
+
+
+def test_checkpoint_rejects_duplicate_record_name(tmp_path):
+    path, cfg = _checkpoint_with_names(tmp_path, ["param/a", "param/b"], (b"param/b", b"param/a"))
+    with pytest.raises(CheckpointError, match="duplicate"):
+        load_checkpoint(path, cfg)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +255,29 @@ def test_tape_is_topologically_ordered():
             assert id(t) in seen or not t.requires_grad
         seen.add(id(out))
     backward(loss)
+
+
+def test_backward_releases_the_tape():
+    # with the cyclic collector off, only reference counting can free the
+    # tape and the step's activations; Tensor takes no weakrefs, so the
+    # intermediate output's buffer stands for it
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        x = Tensor(rand((3,), 4), requires_grad=True)
+        with Tape() as tape:
+            y = sigmoid(x)
+            loss = sum_(mul(y, x))
+        tape_ref, y_ref = weakref.ref(tape), weakref.ref(y.data)
+        backward(loss)
+        assert len(tape) == 0
+        assert y.grad is not None
+        del tape, y, loss
+        assert tape_ref() is None
+        assert y_ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_grad_accumulates_across_backward_calls():
