@@ -2,13 +2,18 @@
 whose similarity is a Gaussian kernel over pairwise feature distances, and the
 cascaded multi-round group attention that combines the two.
 
-All blocks preserve input shape. Blocks optionally report their attention maps
-through a :class:`MapSink` so training tools can export them as images.
+All blocks preserve input shape and take only their input. While a
+:func:`recorded_maps` context is open, every block that computes a map
+(channel gate, spatial gate, non-local attention rows) notes a copy of it in
+the context's dict, keyed by the block object itself, so export tools look
+maps up by block (``maps[cascade.steps[-1][0].nonlocal_]``) and nothing is
+named at construction.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -45,14 +50,30 @@ from .tensor import (
 )
 
 
-class MapSink:
-    """Collects named attention maps (as plain arrays) during a forward pass."""
+_recording: Optional[dict] = None  # the open recorded_maps() dict, if any
 
-    def __init__(self):
-        self.maps: dict[str, np.ndarray] = {}
 
-    def add(self, name: str, data: np.ndarray) -> None:
-        self.maps[name] = np.array(data)
+@contextmanager
+def recorded_maps() -> Iterator[dict]:
+    """Collect the maps attention blocks compute while open, as {block: array}.
+
+    One recorder is active at a time, like a tape: nesting raises
+    :class:`UsageError`. Recording stops when the context closes, also when
+    its body raises.
+    """
+    global _recording
+    if _recording is not None:
+        raise UsageError("attention maps are already being recorded; recorders do not nest")
+    _recording = {}
+    try:
+        yield _recording
+    finally:
+        _recording = None
+
+
+def _record(block: Module, data: np.ndarray) -> None:
+    if _recording is not None:
+        _recording[block] = np.array(data)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +160,11 @@ class ChannelAttention(Module):
         flat = reshape(pooled, (b, c))
         return self.fc2(relu(self.fc1(flat)))
 
-    def __call__(self, x: Tensor, sink: Optional[MapSink] = None, name: str = "") -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         b, c = x.data.shape[0], x.data.shape[1]
         logits = add(self._mlp(global_avg_pool(x)), self._mlp(global_max_pool(x)))
         gate = reshape(sigmoid(logits), (b, c, 1, 1))
-        if sink is not None:
-            sink.add(f"{name}channel_map", gate.data)
+        _record(self, gate.data)
         return gate
 
 
@@ -154,11 +174,10 @@ class SpatialAttention(Module):
     def __init__(self, kernel: int = 7, rng: Optional[np.random.Generator] = None):
         self.conv = Conv2d(2, 1, kernel, stride=1, padding=kernel // 2, rng=rng)
 
-    def __call__(self, x: Tensor, sink: Optional[MapSink] = None, name: str = "") -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         stacked = concat([channel_mean(x), channel_max(x)], 1)
         gate = sigmoid(self.conv(stacked))
-        if sink is not None:
-            sink.add(f"{name}spatial_map", gate.data)
+        _record(self, gate.data)
         return gate
 
 
@@ -169,9 +188,9 @@ class Cbam(Module):
         self.channel = ChannelAttention(channels, ratio, rng=rng)
         self.spatial = SpatialAttention(spatial_kernel, rng=rng)
 
-    def __call__(self, x: Tensor, sink: Optional[MapSink] = None, name: str = "") -> Tensor:
-        refined = mul(x, self.channel(x, sink, name))
-        return mul(refined, self.spatial(refined, sink, name))
+    def __call__(self, x: Tensor) -> Tensor:
+        refined = mul(x, self.channel(x))
+        return mul(refined, self.spatial(refined))
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +219,13 @@ class GaussianNonLocal(Module):
         self.conv_v = Conv2d(channels, channels, 1, rng=rng)
         self.sigma = Tensor(np.asarray(float(sigma)), requires_grad=learnable_sigma)
 
-    def __call__(self, x: Tensor, sink: Optional[MapSink] = None, name: str = "") -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         b, c, h, w = x.data.shape
         if c != self.channels:
             raise DimensionError(f"expected {self.channels} channels, got {c}")
         weights = gaussian_attention_matrix(self.conv_q(x), self.conv_k(x), self.sigma)
         rows = softmax(weights, axis=2)
-        if sink is not None:
-            sink.add(f"{name}attention_rows", rows.data)
+        _record(self, rows.data)
         values = transpose(reshape(self.conv_v(x), (b, c, h * w)), (0, 2, 1))
         attended = transpose(matmul(rows, values), (0, 2, 1))
         return add(x, reshape(attended, (b, c, h, w)))
@@ -227,6 +245,13 @@ class GroupStep(Module):
         self.cbam = Cbam(width, ratio, rng=rng)
         self.nonlocal_ = GaussianNonLocal(width, sigma, learnable_sigma, rng=rng)
         self.conv_tail = Conv2d(2 * width, d, 1, rng=rng)
+
+    def __call__(self, x_sub: Tensor, z_prev: Optional[Tensor]) -> Tensor:
+        """Run the group on its conv_sub output and the previous group's state."""
+        if self.first != (z_prev is None):
+            raise UsageError("z_prev must be given exactly for groups after the first")
+        t = x_sub if z_prev is None else concat([z_prev, x_sub], 1)
+        return self.conv_tail(concat([self.cbam(t), self.nonlocal_(t)], 1))
 
 
 class CascadeAttention(Module):
@@ -265,26 +290,7 @@ class CascadeAttention(Module):
         ]
         self.fusions = [Conv2d(2 * channels, channels, 1, rng=rng) for _ in range(rounds - 1)]
 
-    def group_step(
-        self,
-        i: int,
-        x_sub: Tensor,
-        z_prev: Optional[Tensor],
-        round_index: int = 0,
-        sink: Optional[MapSink] = None,
-        tag: str = "",
-    ) -> Tensor:
-        """Run group i of a round on its conv_sub output and threaded state."""
-        if (i == 0) != (z_prev is None):
-            raise UsageError("z_prev must be given exactly for groups after the first")
-        step = self.steps[round_index][i]
-        t = x_sub if z_prev is None else concat([z_prev, x_sub], 1)
-        name = f"{tag}round{round_index}.group{i}."
-        a = step.cbam(t, sink, name)
-        b = step.nonlocal_(t, sink, name)
-        return step.conv_tail(concat([a, b], 1))
-
-    def __call__(self, x: Tensor, sink: Optional[MapSink] = None, tag: str = "") -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         if x.data.ndim != 4 or x.data.shape[1] != self.channels:
             raise DimensionError(f"expected (b,{self.channels},h,w), got {x.data.shape}")
         current = x
@@ -292,12 +298,10 @@ class CascadeAttention(Module):
         for j in range(self.rounds):
             if j > 0:
                 current = self.fusions[j - 1](concat([z_all, current], 1))
-            parts = group_split(current, self.groups)
             z = None
             zs = []
-            for i in range(self.groups):
-                x_sub = self.steps[j][i].conv_sub(parts[i])
-                z = self.group_step(i, x_sub, z, j, sink, tag)
+            for step, part in zip(self.steps[j], group_split(current, self.groups)):
+                z = step(step.conv_sub(part), z)
                 zs.append(z)
             z_all = concat(zs, 1)
         return z_all

@@ -50,6 +50,41 @@ def _load_dataset(data_dir, eye_hw):
     return train, test
 
 
+# flag -> TrainConfig field; a command applies those of its flags that are given
+_TRAIN_OVERRIDES = (
+    ("epochs", "epochs"),
+    ("batch", "batch_size"),
+    ("seed", "seed"),
+    ("lr", "base_lr"),
+    ("count", "data_count"),
+)
+
+
+def _training_setup(args):
+    """Configs with the command's training-flag overrides, and the train/test
+    split read from --data or generated in memory."""
+    mcfg, tcfg = _load_configs(args.config)
+    for flag, key in _TRAIN_OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is not None:
+            setattr(tcfg, key, value)
+    tcfg.validate()
+    if args.data:
+        train, test = _load_dataset(args.data, mcfg.eye_hw)
+    else:
+        geometry = default_geometry(mcfg.face_size)
+        train, test = dataset_generate(tcfg.seed, tcfg.data_count, tcfg.split_ratio, geometry, mcfg.eye_hw)
+    return mcfg, tcfg, train, test
+
+
+def _load_model(args) -> GazeNet:
+    """The --config model with the --checkpoint parameters loaded."""
+    mcfg, _ = _load_configs(args.config)
+    model = GazeNet(mcfg, seed=0)
+    load_train_checkpoint(args.checkpoint, model)
+    return model
+
+
 def cmd_gen_data(args) -> int:
     geometry = default_geometry(args.face_size)
     train, test = dataset_generate(args.seed, args.count, args.split_ratio, geometry, tuple(args.eye_size))
@@ -60,22 +95,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    mcfg, tcfg = _load_configs(args.config)
-    if args.epochs is not None:
-        tcfg.epochs = args.epochs
-    if args.batch is not None:
-        tcfg.batch_size = args.batch
-    if args.seed is not None:
-        tcfg.seed = args.seed
-    if args.lr is not None:
-        tcfg.base_lr = args.lr
-    tcfg.validate()
-
-    if args.data:
-        train, test = _load_dataset(args.data, mcfg.eye_hw)
-    else:
-        geometry = default_geometry(mcfg.face_size)
-        train, test = dataset_generate(tcfg.seed, tcfg.data_count, tcfg.split_ratio, geometry, mcfg.eye_hw)
+    mcfg, tcfg, train, test = _training_setup(args)
     dtype = np.float64 if args.dtype == "float64" else np.float32
     model = GazeNet(mcfg, seed=tcfg.seed, dtype=dtype)
     print(f"training {model.parameter_count()} parameters on {len(train)} samples ({dtype})")
@@ -94,10 +114,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    mcfg, _ = _load_configs(args.config)
-    model = GazeNet(mcfg, seed=0)
-    load_train_checkpoint(args.checkpoint, model)
-    _, test = _load_dataset(args.data, mcfg.eye_hw)
+    model = _load_model(args)
+    _, test = _load_dataset(args.data, model.cfg.eye_hw)
     mean, rows = evaluate(model_predictor(model), test)
     if args.report:
         lines = ["sample_id,truth_pitch_deg,truth_yaw_deg,pred_pitch_deg,pred_yaw_deg,angular_error_deg"]
@@ -115,9 +133,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    mcfg, _ = _load_configs(args.config)
-    model = GazeNet(mcfg, seed=0)
-    load_train_checkpoint(args.checkpoint, model)
+    model = _load_model(args)
+    mcfg = model.cfg
     if args.data:
         _, test = _load_dataset(args.data, mcfg.eye_hw)
         sample = test[args.sample]
@@ -129,22 +146,7 @@ def cmd_dump_attention(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    mcfg, tcfg = _load_configs(args.config)
-    if args.epochs is not None:
-        tcfg.epochs = args.epochs
-    if args.batch is not None:
-        tcfg.batch_size = args.batch
-    if args.seed is not None:
-        tcfg.seed = args.seed
-    if args.count is not None:
-        tcfg.data_count = args.count
-
-    if args.data:
-        train, test = _load_dataset(args.data, mcfg.eye_hw)
-    else:
-        geometry = default_geometry(mcfg.face_size)
-        train, test = dataset_generate(tcfg.seed, tcfg.data_count, tcfg.split_ratio, geometry, mcfg.eye_hw)
-
+    mcfg, tcfg, train, test = _training_setup(args)
     values = []
     for tok in args.values.split(","):
         values.append(int(tok) if args.param == "k_rounds" else float(tok))

@@ -13,17 +13,19 @@ lists comma-separated.
     eye_channels        conv ladder of the per-eye encoder
     groups, rounds      cascade attention shape (channels divisible by groups)
     sigma               Gaussian similarity width (> 0)
-    learnable_sigma     0/1
+    learnable_sigma     0/1 (or false/true)
     mlp_ratio           channel-attention bottleneck ratio
     pose_channels       head-pose conv ladder (three stride-2 stages)
     pose_dim            head-pose feature width
     gaze_hidden         gaze head hidden width
     eye_decoder_channels, region_decoder_channels
-    band_top, band_bottom   eye-band rows (region split bounds); must equal
-                        the scene geometry's band rows at face_size
     lambda_eye, lambda_region  loss weights
     epochs, batch_size, base_lr, lr_milestones, lr_gamma,
     beta1, beta2, adam_eps, weight_decay, seed, data_count, split_ratio
+
+Extents, widths, counts and ladder entries are positive integers. The
+region decoder's eye-band rows are not a key: they follow from face_size
+through the scene geometry (:attr:`ModelConfig.band_rows`).
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ class ModelConfig:
     gaze_hidden: int = 128
     eye_decoder_channels: tuple[int, ...] = (32, 16)
     region_decoder_channels: tuple[int, ...] = (32, 16, 8, 8)
-    band_top: int = 19
-    band_bottom: int = 31
     lambda_eye: float = 1.0
     lambda_region: float = 1.0
 
@@ -71,7 +71,18 @@ class ModelConfig:
     def eye_hw(self) -> tuple[int, int]:
         return self.eye_height, self.eye_width
 
+    @property
+    def band_rows(self) -> tuple[int, int]:
+        """Eye-band row bounds that split the face into the decoder's regions."""
+        return default_geometry(self.face_size).band_rows
+
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and value < 1:
+                raise ConfigError(f"{f.name} must be >= 1, got {value}")
+            if f.type.startswith("tuple[int") and (not value or min(value) < 1):
+                raise ConfigError(f"{f.name} must be non-empty with entries >= 1, got {value}")
         c, h = self.channels, self.feature_size
         if self.face_size != h * 2 ** len(self.encoder_channels):
             raise ConfigError("face_size must be feature_size * 2^(encoder stages)")
@@ -79,8 +90,6 @@ class ModelConfig:
             raise ConfigError("encoder ladder reduces the face below 1 pixel")
         if c % self.groups != 0:
             raise ConfigError(f"channels {c} not divisible by groups {self.groups}")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
         if self.face_size % 8 != 0:
@@ -95,12 +104,6 @@ class ModelConfig:
             raise ConfigError("eye decoder has exactly two stages")
         if len(self.pose_channels) != 3:
             raise ConfigError("pose branch has exactly three stages")
-        rows = default_geometry(self.face_size).band_rows
-        if (self.band_top, self.band_bottom) != rows:
-            raise ConfigError(
-                f"band rows (band_top, band_bottom) = {(self.band_top, self.band_bottom)} differ from "
-                f"the eye band {rows} of the scene geometry at face_size {self.face_size}"
-            )
         if min(self.lambda_eye, self.lambda_region) < 0:
             raise ConfigError("loss weights must be non-negative")
 
@@ -149,8 +152,6 @@ def tiny_model_config() -> ModelConfig:
         gaze_hidden=16,
         eye_decoder_channels=(6, 6),
         region_decoder_channels=(6, 4),
-        band_top=5,
-        band_bottom=8,
     )
 
 
@@ -167,24 +168,27 @@ def _format_value(v) -> str:
     return str(v)
 
 
+_BOOLS = {"0": False, "false": False, "False": False, "1": True, "true": True, "True": True}
+
+
+def _parse_value(key: str, t: str, text: str):
+    """``text`` read as a value of field type ``t``; ConfigError names ``key``."""
+    try:
+        if t == "int":
+            return int(text)
+        if t == "float":
+            return float(text)
+        if t == "bool":
+            return _BOOLS[text]
+        if t.startswith("tuple[int"):
+            return tuple(int(x) for x in text.split(",") if x.strip())
+    except (ValueError, KeyError):
+        raise ConfigError(f"config key {key}: {text!r} is not a valid {t}") from None
+    raise ConfigError(f"unhandled config field type {t} for {key}")
+
+
 def _parse_into(cls, raw: dict[str, str]):
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in raw:
-            continue
-        text = raw[f.name]
-        t = f.type
-        if t in ("int",):
-            kwargs[f.name] = int(text)
-        elif t in ("float",):
-            kwargs[f.name] = float(text)
-        elif t in ("bool",):
-            kwargs[f.name] = text.strip() not in ("0", "false", "False")
-        elif t.startswith("tuple[int"):
-            kwargs[f.name] = tuple(int(x) for x in text.split(",") if x.strip())
-        else:
-            raise ConfigError(f"unhandled config field type {t} for {f.name}")
-    return cls(**kwargs)
+    return cls(**{f.name: _parse_value(f.name, f.type, raw[f.name]) for f in fields(cls) if f.name in raw})
 
 
 def write_config_text(model: ModelConfig, train: TrainConfig) -> str:
@@ -205,7 +209,7 @@ def parse_config_text(text: str) -> tuple[ModelConfig, TrainConfig]:
             raise ConfigError(f"config line {lineno} is not 'key = value': {line!r}")
         key, value = body.split("=", 1)
         raw[key.strip()] = value.strip()
-    version = int(raw.pop("config_version", "-1"))
+    version = _parse_value("config_version", "int", raw.pop("config_version", "-1"))
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config_version {version} (expected {CONFIG_VERSION})")
     known = {f.name for f in fields(ModelConfig)} | {f.name for f in fields(TrainConfig)}

@@ -198,7 +198,7 @@ def check_whole_model(seed: int, coords_per_tensor: int = 4) -> list[tuple[str, 
     eye_l = Tensor(g.random((1, 3, 8, 8)))
     eye_r = Tensor(g.random((1, 3, 8, 8)))
     truth = Tensor(g.uniform(0.25, 0.4, size=(1, 2)) * g.choice([-1.0, 1.0], size=(1, 2)))
-    r1, r2 = model.cfg.band_top, model.cfg.band_bottom
+    r1, r2 = model.cfg.band_rows
     hf = model.cfg.face_size
     targets = (
         Tensor(g.random((1, 3, r1, hf))),

@@ -18,11 +18,10 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .attention import CascadeAttention, MapSink
+from .attention import CascadeAttention
 from .config import ModelConfig, model_digest
 from .layers import Conv2d, ConvTranspose2d, Linear, Module, global_avg_pool
 from .tensor import (
@@ -175,7 +174,7 @@ class RegionDecoder(Module):
     each applied to its own band of trunk rows."""
 
     def __init__(self, cfg: ModelConfig, rng):
-        self.rows = (cfg.band_top, cfg.band_bottom, cfg.face_size)
+        self.rows = (*cfg.band_rows, cfg.face_size)
         c = cfg.channels
         self.stages = []
         for out_c in cfg.region_decoder_channels:
@@ -263,13 +262,10 @@ class GazeNet(Module):
         pooled = reshape(global_avg_pool(up), (face.data.shape[0], self.cfg.channels))
         return self.gaze_head(pooled, eye_feats, pose)
 
-    def forward(self, face: Tensor, eye_l: Tensor, eye_r: Tensor, sink: Optional[MapSink] = None) -> ForwardOutput:
+    def forward(self, face: Tensor, eye_l: Tensor, eye_r: Tensor) -> ForwardOutput:
         eye_feats, split = self._encode(face, eye_l, eye_r)
-        if sink is not None:
-            sink.add("mask_keep", split.gate.data[0].mean(axis=0))
-            sink.add("mask_drop", (1.0 - split.gate.data[0]).mean(axis=0))
-        up = self.kept_attention(split.kept, sink, "upper.")
-        low = self.dropped_attention(split.dropped, sink, "lower.")
+        up = self.kept_attention(split.kept)
+        low = self.dropped_attention(split.dropped)
         recon_l, recon_r = self.eye_decoder(up)
         top, mid, bot = self.region_decoder(low)
         gaze = self._gaze(face, eye_feats, up)

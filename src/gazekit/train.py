@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .attention import MapSink
+from .attention import recorded_maps
 from .config import ModelConfig, TrainConfig
 from .losses import (
-    LossReport,
     angles_error_deg,
     eye_recon_loss,
     gaze_loss,
@@ -173,8 +172,6 @@ class TrainState:
     epochs_done: int
     seed: int
     optimizer: AdamW
-    lr: float
-    loss_reports: list[LossReport] = field(default_factory=list)
 
 
 METRICS_HEADER = "epoch,lr,Lg,L1,L2,test_angular_error_deg"
@@ -209,7 +206,7 @@ def train_loop(
     cfg = model.cfg
     n = len(train_samples)
     history: list[tuple] = []
-    state = TrainState(start_epoch, tcfg.seed, opt, multistep_lr(start_epoch, tcfg.base_lr, tcfg.lr_milestones, tcfg.lr_gamma))
+    state = TrainState(start_epoch, tcfg.seed, opt)
 
     for epoch in range(start_epoch, tcfg.epochs):
         lr = multistep_lr(epoch, tcfg.base_lr, tcfg.lr_milestones, tcfg.lr_gamma)
@@ -241,15 +238,9 @@ def train_loop(
             sums["lg"] += float(lg.data) * k
             sums["l1"] += float(l1.data) * k
             sums["l2"] += float(l2.data) * k
-        l1_mean, l2_mean, lg_mean = sums["l1"] / n, sums["l2"] / n, sums["lg"] / n
-        report = LossReport(
-            l1_mean, l2_mean, lg_mean, lg_mean + cfg.lambda_eye * l1_mean + cfg.lambda_region * l2_mean
-        )
         test_err, _ = evaluate(model_predictor(model), test_samples) if test_samples else (float("nan"), [])
-        history.append((epoch, lr, report.gaze, report.eye_recon, report.region_recon, test_err))
+        history.append((epoch, lr, sums["lg"] / n, sums["l1"] / n, sums["l2"] / n, test_err))
         state.epochs_done = epoch + 1
-        state.lr = lr
-        state.loss_reports.append(report)
         if epoch_hook is not None:
             epoch_hook(epoch, history[-1])
     return state, history
@@ -304,19 +295,16 @@ def dump_attention(model: GazeNet, sample: GazeSample, out_dir) -> dict[str, np.
     heatmaps sum to a constant image by construction (gate + (1 - gate) = 1).
     """
     os.makedirs(out_dir, exist_ok=True)
-    sink = MapSink()
     batch = batch_tensors([sample], [0], model.dtype)
-    model(batch["face"], batch["eye_l"], batch["eye_r"], sink=sink)
-    last = model.cfg.rounds - 1
-    maps: dict[str, np.ndarray] = {
-        "mask_keep": sink.maps["mask_keep"],
-        "mask_drop": sink.maps["mask_drop"],
-    }
-    for branch in ("upper", "lower"):
-        for i in range(model.cfg.groups):
-            key = f"{branch}.round{last}.group{i}."
-            maps[f"{branch}_group{i}_spatial"] = sink.maps[key + "spatial_map"][0, 0]
-        maps[f"{branch}_attention_rows"] = sink.maps[f"{branch}.round{last}.group0.attention_rows"][0]
+    with recorded_maps() as recorded:
+        model(batch["face"], batch["eye_l"], batch["eye_r"])
+    gate = model.splitter.gate().data[0]  # the gate does not depend on the sample
+    maps: dict[str, np.ndarray] = {"mask_keep": gate.mean(axis=0), "mask_drop": (1.0 - gate).mean(axis=0)}
+    for branch, cascade in (("upper", model.kept_attention), ("lower", model.dropped_attention)):
+        last = cascade.steps[-1]
+        for i, step in enumerate(last):
+            maps[f"{branch}_group{i}_spatial"] = recorded[step.cbam.spatial][0, 0]
+        maps[f"{branch}_attention_rows"] = recorded[last[0].nonlocal_][0]
     for stem, arr in maps.items():
         write_pgm(os.path.join(out_dir, f"{stem}.pgm"), normalize_gray(arr))
     return maps

@@ -15,9 +15,9 @@ from gazekit.attention import (
     CascadeAttention,
     Cbam,
     GaussianNonLocal,
-    MapSink,
     gaussian_attention_matrix,
     gaussian_similarity,
+    recorded_maps,
 )
 from gazekit.cli import main as cli_main
 from gazekit.config import ModelConfig, TrainConfig, tiny_model_config
@@ -174,9 +174,9 @@ def test_criterion_2_equation_oracles():
 def test_criterion_3_analytic_limits():
     # sigma -> 1e6 flattens every softmax row to uniform within 1e-3
     block = GaussianNonLocal(4, sigma=1e6, rng=rng(11))
-    sink = MapSink()
-    block(Tensor(rng(12).normal(size=(2, 4, 3, 3))), sink)
-    rows = sink.maps["attention_rows"]
+    with recorded_maps() as maps:
+        block(Tensor(rng(12).normal(size=(2, 4, 3, 3))))
+    rows = maps[block]
     uniform_dev = float(np.max(np.abs(rows - 1.0 / 9.0)))
 
     # self-similarity is exactly one

@@ -8,13 +8,13 @@ from gazekit.attention import (
     Cbam,
     ChannelAttention,
     GaussianNonLocal,
-    MapSink,
     SpatialAttention,
     gaussian_attention_matrix,
     gaussian_similarity,
     pairwise_sqdist,
+    recorded_maps,
 )
-from gazekit.tensor import ConfigError, Tensor, UsageError, concat, finite_diff_check, group_split, sum_
+from gazekit.tensor import ConfigError, DimensionError, Tensor, UsageError, concat, finite_diff_check, group_split, sum_
 
 
 def rng(seed=0):
@@ -145,10 +145,36 @@ def test_cbam_composes_verified_parts():
 
 def test_cbam_reports_maps():
     block = Cbam(4, rng=rng(17))
-    sink = MapSink()
-    block(Tensor(rng(18).normal(size=(1, 4, 3, 3))), sink, "up.")
-    assert set(sink.maps) == {"up.channel_map", "up.spatial_map"}
-    assert sink.maps["up.spatial_map"].shape == (1, 1, 3, 3)
+    with recorded_maps() as maps:
+        block(Tensor(rng(18).normal(size=(1, 4, 3, 3))))
+    assert set(maps) == {block.channel, block.spatial}
+    assert maps[block.spatial].shape == (1, 1, 3, 3)
+
+
+def test_recorded_maps_do_not_nest_and_close_on_error():
+    block = GaussianNonLocal(4, rng=rng(17))
+    x = Tensor(rng(18).normal(size=(1, 4, 3, 3)))
+    with recorded_maps():
+        with pytest.raises(UsageError):
+            with recorded_maps():
+                pass
+    with pytest.raises(DimensionError):
+        with recorded_maps() as maps:
+            block(Tensor(np.zeros((1, 5, 3, 3))))
+    assert maps == {}
+    block(x)  # recording is off again, so nothing lands in the closed dict
+    assert maps == {}
+    with recorded_maps() as maps:
+        block(x)
+    assert list(maps) == [block]
+
+
+def test_cascade_records_every_block_once():
+    block = CascadeAttention(8, 2, 2, rng=rng(19))
+    with recorded_maps() as maps:
+        block(Tensor(rng(20).normal(size=(1, 8, 4, 4))))
+    want = [b for row in block.steps for s in row for b in (s.cbam.channel, s.cbam.spatial, s.nonlocal_)]
+    assert list(maps) == want
 
 
 # ---------------------------------------------------------------------------
@@ -256,18 +282,18 @@ def test_nonlocal_zero_value_path_is_residual_identity():
 
 def test_nonlocal_softmax_rows_sum_to_one():
     block = GaussianNonLocal(4, rng=rng(27))
-    sink = MapSink()
-    block(Tensor(rng(28).normal(size=(2, 4, 3, 3))), sink)
-    rows = sink.maps["attention_rows"]
+    with recorded_maps() as maps:
+        block(Tensor(rng(28).normal(size=(2, 4, 3, 3))))
+    rows = maps[block]
     np.testing.assert_allclose(rows.sum(axis=2), np.ones((2, 9)), atol=1e-6)
 
 
 def test_nonlocal_large_sigma_averages_values():
     block = GaussianNonLocal(4, sigma=1e6, rng=rng(29))
     x = rng(30).normal(size=(1, 4, 2, 3))
-    sink = MapSink()
-    out = block(Tensor(x), sink).data
-    rows = sink.maps["attention_rows"]
+    with recorded_maps() as maps:
+        out = block(Tensor(x)).data
+    rows = maps[block]
     assert np.all(np.abs(rows - 1.0 / 6.0) < 1e-3)
     # explicit mean of the value rows, computed independently
     v = np.zeros((4, 6))
@@ -292,10 +318,10 @@ def test_cascade_group_step_shape_contract():
     x = Tensor(rng(34).normal(size=(2, 8, 4, 4)))
     parts = group_split(x, 2)
     x0 = block.steps[0][0].conv_sub(parts[0])
-    z0 = block.group_step(0, x0, None)
+    z0 = block.steps[0][0](x0, None)
     assert z0.shape == (2, 4, 4, 4)
     x1 = block.steps[0][1].conv_sub(parts[1])
-    z1 = block.group_step(1, x1, z0)
+    z1 = block.steps[0][1](x1, z0)
     assert z1.shape == (2, 4, 4, 4)
 
 
@@ -303,9 +329,9 @@ def test_cascade_group_step_state_protocol():
     block = CascadeAttention(8, 2, 1, rng=rng(35))
     x = Tensor(rng(36).normal(size=(1, 4, 2, 2)))
     with pytest.raises(UsageError):
-        block.group_step(0, x, x)
+        block.steps[0][0](x, x)
     with pytest.raises(UsageError):
-        block.group_step(1, x, None)
+        block.steps[0][1](x, None)
 
 
 def test_cascade_group_step_linear_degenerate():
@@ -321,7 +347,7 @@ def test_cascade_group_step_linear_degenerate():
         step.conv_tail.weight.data[o, o + 4, 0, 0] = 0.5
     step.conv_tail.bias.data[:] = 0.0
     x_sub = Tensor(rng(38).normal(size=(2, 4, 3, 3)))
-    z = block.group_step(0, x_sub, None)
+    z = step(x_sub, None)
     np.testing.assert_allclose(z.data, x_sub.data, atol=1e-12)
 
 

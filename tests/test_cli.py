@@ -1,4 +1,3 @@
-import dataclasses
 import os
 
 import numpy as np
@@ -44,6 +43,9 @@ def test_config_text_is_flat_key_value():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         parse_config_text("config_version = 1\nbogus_key = 3\n")
+    # band rows follow from face_size and are no longer a key
+    with pytest.raises(ConfigError, match="band_top"):
+        parse_config_text("config_version = 1\nband_top = 19\n")
 
 
 def test_config_rejects_wrong_version():
@@ -61,14 +63,28 @@ def test_config_validation_catches_bad_groups():
         parse_config_text("config_version = 1\ngroups = 5\n")
 
 
-def test_config_validation_catches_band_rows_off_the_geometry():
-    # the default band rows belong to face_size 64; at 32 the eye band is 10..16
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("groups", "0"),
+        ("mlp_ratio", "0"),
+        ("gaze_hidden", "0"),
+        ("epochs", "ten"),
+        ("config_version", "x"),
+        ("learnable_sigma", "maybe"),
+    ],
+)
+def test_config_boundary_values_raise_config_error_naming_the_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(f"config_version = 1\n{key} = {value}\n")
+
+
+def test_face_32_config_trains_with_derived_band_rows():
+    # the band rows follow the geometry: at face_size 32 the eye band is 10..16
     cfg = ModelConfig(face_size=32, encoder_channels=(16, 32, 64), region_decoder_channels=(16, 8, 8))
-    with pytest.raises(ConfigError, match=r"\(19, 31\).*\(10, 16\)"):
-        cfg.validate()
-    fixed = dataclasses.replace(cfg, band_top=10, band_bottom=16)
-    train, test = dataset_generate(0, 4, 0.5, default_geometry(32), fixed.eye_hw)
-    train_loop(GazeNet(fixed), train, test, TrainConfig(epochs=1, batch_size=2))
+    assert cfg.band_rows == (10, 16)
+    train, test = dataset_generate(0, 4, 0.5, default_geometry(32), cfg.eye_hw)
+    train_loop(GazeNet(cfg), train, test, TrainConfig(epochs=1, batch_size=2))
 
 
 def test_digest_changes_with_architecture():
