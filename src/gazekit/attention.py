@@ -168,11 +168,14 @@ class ChannelAttention(Module):
         return gate
 
 
+SPATIAL_KERNEL = 7  # the CBAM paper's spatial-gate kernel
+
+
 class SpatialAttention(Module):
     """sigmoid(conv7x7(cat(mean_c F, max_c F))): one weight per spatial site."""
 
-    def __init__(self, kernel: int = 7, rng: Optional[np.random.Generator] = None):
-        self.conv = Conv2d(2, 1, kernel, stride=1, padding=kernel // 2, rng=rng)
+    def __init__(self, rng: Optional[np.random.Generator] = None):
+        self.conv = Conv2d(2, 1, SPATIAL_KERNEL, stride=1, padding=SPATIAL_KERNEL // 2, rng=rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         stacked = concat([channel_mean(x), channel_max(x)], 1)
@@ -184,9 +187,9 @@ class SpatialAttention(Module):
 class Cbam(Module):
     """Channel-then-spatial gating; output shape equals input shape."""
 
-    def __init__(self, channels: int, ratio: int = 4, spatial_kernel: int = 7, rng: Optional[np.random.Generator] = None):
+    def __init__(self, channels: int, ratio: int = 4, rng: Optional[np.random.Generator] = None):
         self.channel = ChannelAttention(channels, ratio, rng=rng)
-        self.spatial = SpatialAttention(spatial_kernel, rng=rng)
+        self.spatial = SpatialAttention(rng=rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         refined = mul(x, self.channel(x))

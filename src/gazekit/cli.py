@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -23,31 +22,19 @@ from .synth import (
     dump_split,
     load_split,
     make_sample,
+    read_manifest,
 )
+from .tensor import UsageError
 from .train import (
-    AdamW,
     constant_predictor,
     dump_attention,
     evaluate,
-    load_train_checkpoint,
+    load_model,
     metrics_csv_text,
     model_predictor,
-    multistep_lr,
     save_train_checkpoint,
     train_loop,
 )
-
-
-def _load_configs(path):
-    if path:
-        return load_config(path)
-    return ModelConfig(), TrainConfig()
-
-
-def _load_dataset(data_dir, eye_hw):
-    train = load_split(os.path.join(data_dir, "train"), eye_hw)
-    test = load_split(os.path.join(data_dir, "test"), eye_hw)
-    return train, test
 
 
 # flag -> TrainConfig field; a command applies those of its flags that are given
@@ -63,26 +50,19 @@ _TRAIN_OVERRIDES = (
 def _training_setup(args):
     """Configs with the command's training-flag overrides, and the train/test
     split read from --data or generated in memory."""
-    mcfg, tcfg = _load_configs(args.config)
+    mcfg, tcfg = load_config(args.config) if args.config else (ModelConfig(), TrainConfig())
     for flag, key in _TRAIN_OVERRIDES:
         value = getattr(args, flag, None)
         if value is not None:
             setattr(tcfg, key, value)
     tcfg.validate()
     if args.data:
-        train, test = _load_dataset(args.data, mcfg.eye_hw)
+        train = load_split(os.path.join(args.data, "train"), mcfg.eye_hw)
+        test = load_split(os.path.join(args.data, "test"), mcfg.eye_hw)
     else:
         geometry = default_geometry(mcfg.face_size)
         train, test = dataset_generate(tcfg.seed, tcfg.data_count, tcfg.split_ratio, geometry, mcfg.eye_hw)
     return mcfg, tcfg, train, test
-
-
-def _load_model(args) -> GazeNet:
-    """The --config model with the --checkpoint parameters loaded."""
-    mcfg, _ = _load_configs(args.config)
-    model = GazeNet(mcfg, seed=0)
-    load_train_checkpoint(args.checkpoint, model)
-    return model
 
 
 def cmd_gen_data(args) -> int:
@@ -114,8 +94,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model(args)
-    _, test = _load_dataset(args.data, model.cfg.eye_hw)
+    model = load_model(args.checkpoint)
+    test = load_split(os.path.join(args.data, "test"), model.cfg.eye_hw)
     mean, rows = evaluate(model_predictor(model), test)
     if args.report:
         lines = ["sample_id,truth_pitch_deg,truth_yaw_deg,pred_pitch_deg,pred_yaw_deg,angular_error_deg"]
@@ -133,11 +113,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_dump_attention(args) -> int:
-    model = _load_model(args)
+    if args.data:
+        test_dir = os.path.join(args.data, "test")
+        count = len(read_manifest(test_dir))
+        if not 0 <= args.sample < count:
+            raise UsageError(f"--sample {args.sample} is not an index of the test split ({count} samples)")
+    model = load_model(args.checkpoint)
     mcfg = model.cfg
     if args.data:
-        _, test = _load_dataset(args.data, mcfg.eye_hw)
-        sample = test[args.sample]
+        sample = load_split(test_dir, mcfg.eye_hw)[args.sample]
     else:
         sample = make_sample(args.sample, 0, default_geometry(mcfg.face_size), mcfg.eye_hw)
     maps = dump_attention(model, sample, args.out)
@@ -200,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--report", default=None, help="per-sample CSV output path")
-    p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suites")
@@ -213,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=0, help="test index (with --data) or render seed")
     p.add_argument("--out", required=True)
     p.add_argument("--data", default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(fn=cmd_dump_attention)
 
     p = sub.add_parser("sweep", help="rerun training over a small hyperparameter grid")

@@ -23,20 +23,33 @@ lists comma-separated.
     epochs, batch_size, base_lr, lr_milestones, lr_gamma,
     beta1, beta2, adam_eps, weight_decay, seed, data_count, split_ratio
 
-Extents, widths, counts and ladder entries are positive integers. The
-region decoder's eye-band rows are not a key: they follow from face_size
-through the scene geometry (:attr:`ModelConfig.band_rows`).
+Extents, widths, counts and ladder entries are positive integers, seed is a
+non-negative integer and split_ratio lies in (0, 1]. The region decoder's
+eye-band rows are not a key: they follow from face_size through the scene
+geometry (:attr:`ModelConfig.band_rows`).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, fields
 
 from .synth import default_geometry
 from .tensor import ConfigError
 
 CONFIG_VERSION = 1
+
+
+def _check_counts(cfg, exempt=()) -> None:
+    """ConfigError naming the key unless every int field is >= 1 and every int
+    ladder is non-empty with entries >= 1; fields in ``exempt`` are skipped."""
+    for f in fields(cfg):
+        if f.name in exempt:
+            continue
+        value = getattr(cfg, f.name)
+        if f.type == "int" and value < 1:
+            raise ConfigError(f"{f.name} must be >= 1, got {value}")
+        if f.type.startswith("tuple[int") and (not value or min(value) < 1):
+            raise ConfigError(f"{f.name} must be non-empty with entries >= 1, got {value}")
 
 
 @dataclass
@@ -77,12 +90,7 @@ class ModelConfig:
         return default_geometry(self.face_size).band_rows
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and value < 1:
-                raise ConfigError(f"{f.name} must be >= 1, got {value}")
-            if f.type.startswith("tuple[int") and (not value or min(value) < 1):
-                raise ConfigError(f"{f.name} must be non-empty with entries >= 1, got {value}")
+        _check_counts(self)
         c, h = self.channels, self.feature_size
         if self.face_size != h * 2 ** len(self.encoder_channels):
             raise ConfigError("face_size must be feature_size * 2^(encoder stages)")
@@ -124,8 +132,11 @@ class TrainConfig:
     split_ratio: float = 0.8
 
     def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+        _check_counts(self, exempt=("seed", "lr_milestones"))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 < self.split_ratio <= 1:
+            raise ConfigError(f"split_ratio must lie in (0, 1], got {self.split_ratio}")
         if self.base_lr <= 0 or not 0 < self.lr_gamma <= 1:
             raise ConfigError("base_lr must be positive and lr_gamma in (0, 1]")
         if not 0.5 <= self.beta1 < 1 or not 0.5 <= self.beta2 < 1:
@@ -191,9 +202,10 @@ def _parse_into(cls, raw: dict[str, str]):
     return cls(**{f.name: _parse_value(f.name, f.type, raw[f.name]) for f in fields(cls) if f.name in raw})
 
 
-def write_config_text(model: ModelConfig, train: TrainConfig) -> str:
+def write_config_text(*configs) -> str:
+    """The versioned ``key = value`` text of the given configs' fields."""
     lines = [f"config_version = {CONFIG_VERSION}"]
-    for obj in (model, train):
+    for obj in configs:
         for f in fields(obj):
             lines.append(f"{f.name} = {_format_value(getattr(obj, f.name))}")
     return "\n".join(lines) + "\n"
@@ -232,8 +244,3 @@ def load_config(path) -> tuple[ModelConfig, TrainConfig]:
     with open(path) as fh:
         return parse_config_text(fh.read())
 
-
-def model_digest(model: ModelConfig) -> bytes:
-    """sha256 of the canonical architecture description; guards checkpoints."""
-    lines = [f"{f.name}={_format_value(getattr(model, f.name))}" for f in fields(ModelConfig)]
-    return hashlib.sha256("\n".join(lines).encode()).digest()

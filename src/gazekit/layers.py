@@ -14,7 +14,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import (
-    ConfigError,
     DimensionError,
     Tensor,
     apply_op,
@@ -62,10 +61,8 @@ class Module:
         return self
 
 
-def init_uniform(rng: np.random.Generator, shape: tuple, fan_in: int, scheme: str = "fan_in_uniform") -> Tensor:
+def init_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> Tensor:
     """Weight init: U(-b, b) with b = sqrt(1/fan_in). Deterministic per rng state."""
-    if scheme != "fan_in_uniform":
-        raise ConfigError(f"unknown init scheme: {scheme}")
     bound = float(np.sqrt(1.0 / fan_in))
     data = rng.uniform(-bound, bound, size=shape)
     return Tensor(data, requires_grad=True)

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import CascadeAttention
-from .config import ModelConfig, model_digest
+from .config import ModelConfig, parse_config_text, write_config_text
 from .layers import Conv2d, ConvTranspose2d, Linear, Module, global_avg_pool
 from .tensor import (
+    ConfigError,
     DimensionError,
     Tensor,
     apply_op,
@@ -290,11 +291,11 @@ class GazeNet(Module):
         extra = set(mapping) - set(own)
         if missing or extra:
             raise CheckpointError(f"parameter name mismatch (missing {sorted(missing)}, extra {sorted(extra)})")
+        for name, tensor in own.items():  # every shape is checked before any tensor is replaced
+            if mapping[name].shape != tensor.data.shape:
+                raise CheckpointError(f"shape mismatch for {name}: {mapping[name].shape} vs {tensor.data.shape}")
         for name, tensor in own.items():
-            arr = mapping[name]
-            if arr.shape != tensor.data.shape:
-                raise CheckpointError(f"shape mismatch for {name}: {arr.shape} vs {tensor.data.shape}")
-            tensor.data = arr.astype(tensor.data.dtype, copy=True)
+            tensor.data = mapping[name].astype(tensor.data.dtype, copy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +303,29 @@ class GazeNet(Module):
 #
 #   magic (8 bytes)  "GZKCKPT\0"
 #   version          uint32 LE
-#   config digest    32 bytes (sha256 of the canonical model config)
+#   config_len       uint32 LE
+#   model config     config_len bytes of utf-8 ``key = value`` text, the
+#                    model fields as config.write_config_text writes them
 #   record count     uint32 LE
 #   records:         name_len uint16 LE, name utf-8, rank uint8,
 #                    rank * extent uint32 LE, payload float64 LE
 #
 # The same record stream carries parameters ("param/<name>"), optimizer
 # moments ("adam_m/...", "adam_v/...") and scalar counters ("state/<name>").
+# Loaders build the model from the embedded config or refuse a model built
+# from another one; version 1 held only a sha256 of the config.
 
 CKPT_MAGIC = b"GZKCKPT\x00"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 def save_checkpoint(path, cfg: ModelConfig, records: list[tuple[str, np.ndarray]]) -> None:
     buf = io.BytesIO()
     buf.write(CKPT_MAGIC)
     buf.write(struct.pack("<I", CKPT_VERSION))
-    buf.write(model_digest(cfg))
+    config_text = write_config_text(cfg).encode()
+    buf.write(struct.pack("<I", len(config_text)))
+    buf.write(config_text)
     buf.write(struct.pack("<I", len(records)))
     for name, arr in records:
         arr = np.asarray(arr, dtype=np.float64)
@@ -335,7 +342,8 @@ def save_checkpoint(path, cfg: ModelConfig, records: list[tuple[str, np.ndarray]
         fh.write(buf.getvalue())
 
 
-def load_checkpoint(path, cfg: ModelConfig) -> dict[str, np.ndarray]:
+def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    """The model config a checkpoint was written for and its records by name."""
     with open(path, "rb") as fh:
         blob = fh.read()
     view = memoryview(blob)
@@ -353,10 +361,12 @@ def load_checkpoint(path, cfg: ModelConfig) -> dict[str, np.ndarray]:
         raise CheckpointError("not a checkpoint file")
     (version,) = struct.unpack("<I", take(4))
     if version != CKPT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    digest = bytes(take(32))
-    if digest != model_digest(cfg):
-        raise CheckpointError("checkpoint was written for a different model config")
+        raise CheckpointError(f"unsupported checkpoint version {version} (expected {CKPT_VERSION})")
+    (config_len,) = struct.unpack("<I", take(4))
+    try:
+        cfg, _ = parse_config_text(bytes(take(config_len)).decode())
+    except (UnicodeDecodeError, ConfigError) as exc:
+        raise CheckpointError(f"unreadable model config: {exc}") from None
     (count,) = struct.unpack("<I", take(4))
     records: dict[str, np.ndarray] = {}
     for _ in range(count):
@@ -372,8 +382,11 @@ def load_checkpoint(path, cfg: ModelConfig) -> dict[str, np.ndarray]:
         n = 1
         for e in shape:
             n *= e
-        data = np.frombuffer(take(8 * n), dtype="<f8").reshape(shape).copy()
-        records[name] = data
+        payload = take(8 * n)
+        try:
+            records[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError:  # numpy refuses the rank or the extents
+            raise CheckpointError(f"record {name!r} has an unsupported shape {shape}") from None
     if pos != len(view):
         raise CheckpointError("trailing bytes after the last record")
-    return records
+    return cfg, records

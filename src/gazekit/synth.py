@@ -305,17 +305,22 @@ def dump_split(directory, samples: list[GazeSample], geometry: SceneGeometry) ->
         fh.write("\n".join(lines) + "\n")
 
 
+def read_manifest(directory) -> list[str]:
+    """The sample rows of a dumped split's manifest, one per sample."""
+    with open(os.path.join(directory, "manifest.csv")) as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines or lines[0] != MANIFEST_HEADER:
+        raise ValueError(f"unrecognized manifest header in {directory}")
+    return lines[1:]
+
+
 def load_split(directory, eye_hw: tuple[int, int]) -> list[GazeSample]:
     """Rebuild samples from a dumped split; eyes and regions are re-derived
     from the stored face and the manifest's eye boxes."""
     from .netpbm import read_ppm
 
-    with open(os.path.join(directory, "manifest.csv")) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != MANIFEST_HEADER:
-        raise ValueError(f"unrecognized manifest header in {directory}")
     samples = []
-    for line in lines[1:]:
+    for line in read_manifest(directory):
         parts = line.split(",")
         idx = int(parts[0])
         pitch = math.radians(float(parts[1]))

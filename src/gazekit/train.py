@@ -23,7 +23,7 @@ from .losses import (
     region_recon_loss,
     total_loss,
 )
-from .model import GazeNet, load_checkpoint, save_checkpoint
+from .model import CheckpointError, GazeNet, load_checkpoint, save_checkpoint
 from .netpbm import write_pgm
 from .synth import GazeSample
 from .tensor import Tape, Tensor, UsageError, backward
@@ -265,16 +265,47 @@ def save_train_checkpoint(path, model: GazeNet, optimizer: Optional[AdamW], epoc
     save_checkpoint(path, model.cfg, records)
 
 
-def load_train_checkpoint(path, model: GazeNet, optimizer: Optional[AdamW] = None) -> dict:
-    records = load_checkpoint(path, model.cfg)
-    params = {n[len("param/") :]: a for n, a in records.items() if n.startswith("param/")}
-    model.load_parameters(params)
+def _counter(records: dict[str, np.ndarray], name: str) -> int:
+    """A non-negative whole-number record; 0 when the checkpoint has none."""
+    value = records.get(name, np.asarray(0.0))
+    if value.shape != () or not (value >= 0 and float(value).is_integer()):
+        raise CheckpointError(f"{name} must be a non-negative whole number, got {value}")
+    return int(value)
+
+
+def _restore(records: dict[str, np.ndarray], model: GazeNet, optimizer: Optional[AdamW]) -> dict:
+    """Assign checkpoint records to the model and optimizer, all or nothing:
+    every record either reads is checked before anything is assigned."""
+    meta = {key: _counter(records, f"state/{key}") for key in ("epochs_done", "seed")}
+    if optimizer is not None:
+        for name, arr in optimizer.state_records():
+            if name not in records:
+                raise CheckpointError(f"checkpoint has no record {name!r}")
+            if records[name].shape != arr.shape:
+                raise CheckpointError(f"shape mismatch for {name}: {records[name].shape} vs {arr.shape}")
+        _counter(records, "state/step")
+    # load_parameters checks all of its records before it replaces any tensor
+    model.load_parameters({n[len("param/") :]: a for n, a in records.items() if n.startswith("param/")})
     if optimizer is not None:
         optimizer.load_state_records(records)
-    return {
-        "epochs_done": int(records.get("state/epochs_done", np.asarray(0.0))),
-        "seed": int(records.get("state/seed", np.asarray(0.0))),
-    }
+    return meta
+
+
+def load_train_checkpoint(path, model: GazeNet, optimizer: Optional[AdamW] = None) -> dict:
+    """Load a checkpoint of ``model.cfg`` into ``model`` (and ``optimizer``);
+    returns its epochs_done and seed. On CheckpointError nothing has changed."""
+    cfg, records = load_checkpoint(path)
+    if cfg != model.cfg:
+        raise CheckpointError("checkpoint was written for a different model config")
+    return _restore(records, model, optimizer)
+
+
+def load_model(path) -> GazeNet:
+    """The float64 model a checkpoint describes, with its parameters loaded."""
+    cfg, records = load_checkpoint(path)
+    model = GazeNet(cfg, seed=0)
+    _restore(records, model, None)
+    return model
 
 
 # ---------------------------------------------------------------------------

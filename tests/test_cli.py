@@ -8,7 +8,6 @@ from gazekit.config import (
     ModelConfig,
     TrainConfig,
     load_config,
-    model_digest,
     parse_config_text,
     save_config,
     tiny_model_config,
@@ -16,7 +15,7 @@ from gazekit.config import (
 )
 from gazekit.model import GazeNet
 from gazekit.synth import default_geometry, dump_split, load_split, dataset_generate
-from gazekit.tensor import ConfigError
+from gazekit.tensor import ConfigError, UsageError
 from gazekit.train import train_loop
 
 
@@ -72,6 +71,10 @@ def test_config_validation_catches_bad_groups():
         ("epochs", "ten"),
         ("config_version", "x"),
         ("learnable_sigma", "maybe"),
+        ("seed", "-1"),
+        ("data_count", "0"),
+        ("split_ratio", "0"),
+        ("split_ratio", "1.5"),
     ],
 )
 def test_config_boundary_values_raise_config_error_naming_the_key(key, value):
@@ -85,12 +88,6 @@ def test_face_32_config_trains_with_derived_band_rows():
     assert cfg.band_rows == (10, 16)
     train, test = dataset_generate(0, 4, 0.5, default_geometry(32), cfg.eye_hw)
     train_loop(GazeNet(cfg), train, test, TrainConfig(epochs=1, batch_size=2))
-
-
-def test_digest_changes_with_architecture():
-    a = model_digest(ModelConfig())
-    b = model_digest(ModelConfig(groups=2))
-    assert a != b and len(a) == 32
 
 
 def test_published_protocol_remains_selectable(tmp_path):
@@ -179,7 +176,6 @@ def test_cli_train_eval_dump_sweep(tiny_cfg_file, tiny_data_dir, tmp_path, capsy
             "eval",
             "--checkpoint", str(run_dir / "model.ckpt"),
             "--data", tiny_data_dir,
-            "--config", tiny_cfg_file,
             "--report", str(report),
         ]
     )
@@ -195,7 +191,6 @@ def test_cli_train_eval_dump_sweep(tiny_cfg_file, tiny_data_dir, tmp_path, capsy
         [
             "dump-attention",
             "--checkpoint", str(run_dir / "model.ckpt"),
-            "--config", tiny_cfg_file,
             "--data", tiny_data_dir,
             "--sample", "1",
             "--out", str(maps_dir),
@@ -221,6 +216,14 @@ def test_cli_train_eval_dump_sweep(tiny_cfg_file, tiny_data_dir, tmp_path, capsy
     sweep_lines = (sweep_dir / "sweep.csv").read_text().splitlines()
     assert sweep_lines[0] == "param,value,test_angular_error_deg,untrained_error_deg,constant_error_deg"
     assert len(sweep_lines) == 3
+
+
+@pytest.mark.parametrize("sample", ["6", "-1"])
+def test_cli_dump_attention_rejects_sample_outside_test_split(tiny_data_dir, tmp_path, sample):
+    # the index is checked before the checkpoint is read, so none is needed
+    args = ["dump-attention", "--checkpoint", str(tmp_path / "none.ckpt"), "--data", tiny_data_dir]
+    with pytest.raises(UsageError, match=rf"--sample {sample} .*\(6 samples\)"):
+        main([*args, "--sample", sample, "--out", str(tmp_path / "maps")])
 
 
 def test_cli_train_deterministic_metrics(tiny_cfg_file, tiny_data_dir, tmp_path):

@@ -283,11 +283,6 @@ def test_init_mean_statistics():
     assert abs(w.mean()) < 3.0 * sigma / np.sqrt(n)
 
 
-def test_init_unknown_scheme():
-    with pytest.raises(T.ConfigError):
-        init_uniform(rng(0), (2, 2), 2, scheme="xavier")
-
-
 def test_module_named_parameters_are_ordered_and_unique():
     class Block(Module):
         def __init__(self):

@@ -12,6 +12,7 @@ from gazekit.model import (
     mask_keep,
     save_checkpoint,
 )
+from gazekit.train import AdamW, load_model, load_train_checkpoint, save_train_checkpoint
 from gazekit.tensor import DimensionError, Tape, Tensor, backward, finite_diff_check, sum_
 from gazekit import tensor as T
 
@@ -246,7 +247,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     path = tmp_path / "model.ckpt"
     records = [(f"param/{n}", a) for n, a in net.state_arrays()]
     save_checkpoint(path, net.cfg, records)
-    back = load_checkpoint(path, net.cfg)
+    _, back = load_checkpoint(path)
     for name, arr in records:
         assert np.array_equal(back[name], arr)
 
@@ -264,7 +265,7 @@ def test_checkpoint_truncation_detected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 17])
     with pytest.raises(CheckpointError):
-        load_checkpoint(path, net.cfg)
+        load_checkpoint(path)
 
 
 def test_checkpoint_trailing_garbage_detected(tmp_path):
@@ -273,24 +274,24 @@ def test_checkpoint_trailing_garbage_detected(tmp_path):
     save_checkpoint(path, net.cfg, [(f"param/{n}", a) for n, a in net.state_arrays()])
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(CheckpointError):
-        load_checkpoint(path, net.cfg)
+        load_checkpoint(path)
 
 
-def test_checkpoint_config_digest_guard(tmp_path):
+def test_checkpoint_config_guard(tmp_path):
     net = tiny_net(seed=7)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, net.cfg, [(f"param/{n}", a) for n, a in net.state_arrays()])
     other_cfg = tiny_model_config()
     other_cfg.groups = 1
     with pytest.raises(CheckpointError):
-        load_checkpoint(path, other_cfg)
+        load_train_checkpoint(path, GazeNet(other_cfg))
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
     with pytest.raises(CheckpointError):
-        load_checkpoint(path, tiny_model_config())
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_future_version(tmp_path):
@@ -301,7 +302,7 @@ def test_checkpoint_rejects_future_version(tmp_path):
     blob[8] = 99  # version field follows the 8-byte magic
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError):
-        load_checkpoint(path, net.cfg)
+        load_checkpoint(path)
 
 
 def _checkpoint_with_names(tmp_path, names, edit):
@@ -312,16 +313,145 @@ def _checkpoint_with_names(tmp_path, names, edit):
     old, new = edit
     assert blob.count(old) == 1 and len(old) == len(new)
     path.write_bytes(blob.replace(old, new))
-    return path, net.cfg
+    return path
 
 
 def test_checkpoint_rejects_non_utf8_record_name(tmp_path):
-    path, cfg = _checkpoint_with_names(tmp_path, ["param/a"], (b"param/a", b"param/\xff"))
+    path = _checkpoint_with_names(tmp_path, ["param/a"], (b"param/a", b"param/\xff"))
     with pytest.raises(CheckpointError, match="utf-8"):
-        load_checkpoint(path, cfg)
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_duplicate_record_name(tmp_path):
-    path, cfg = _checkpoint_with_names(tmp_path, ["param/a", "param/b"], (b"param/b", b"param/a"))
+    path = _checkpoint_with_names(tmp_path, ["param/a", "param/b"], (b"param/b", b"param/a"))
     with pytest.raises(CheckpointError, match="duplicate"):
-        load_checkpoint(path, cfg)
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_format_1(tmp_path):
+    net = tiny_net(seed=7)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, net.cfg, [("param/x", np.zeros(2))])
+    blob = bytearray(path.read_bytes())
+    blob[8] = 1  # format 1 held a config digest where format 2 holds the config text
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [((b"groups = 2", b"groups = \xff"), "utf-8"), ((b"groups = 2", b"groups = x"), "groups")],
+)
+def test_checkpoint_rejects_unreadable_model_config(tmp_path, edit, message):
+    path = _checkpoint_with_names(tmp_path, ["param/a"], edit)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+def test_checkpoint_carries_its_model_config(tmp_path):
+    cfg = tiny_model_config()
+    cfg.rounds, cfg.sigma = 3, 0.75
+    net = GazeNet(cfg, seed=7, dtype=np.float32)
+    path = tmp_path / "model.ckpt"
+    save_train_checkpoint(path, net, None, 0, 0)
+    assert load_checkpoint(path)[0] == cfg
+    loaded = load_model(path)
+    assert loaded.cfg == cfg and loaded.dtype == np.float64
+    for (name, a), (_, b) in zip(net.state_arrays(), loaded.state_arrays()):
+        assert np.array_equal(a, b), name
+
+
+def _train_state(net, opt):
+    return [a.copy() for _, a in net.state_arrays()] + [a.copy() for _, a in opt.state_records()]
+
+
+def _same_state(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _tiny_train_objects(seed):
+    net = tiny_net(seed=seed)
+    return net, AdamW(list(net.named_parameters()))
+
+
+@pytest.mark.parametrize(
+    "victim, bad",
+    [
+        ("last parameter", np.zeros(3)),
+        ("first moment", np.zeros(3)),
+        ("first moment", None),
+        ("state/step", np.asarray(np.inf)),
+        ("state/step", np.asarray(-1.0)),
+        ("state/epochs_done", np.asarray(np.nan)),
+        ("state/seed", np.asarray(0.5)),
+    ],
+    ids=["param-shape", "moment-shape", "moment-missing", "step-inf", "step-negative", "epochs-nan", "seed-fraction"],
+)
+def test_load_train_checkpoint_checks_every_record_before_assigning(tmp_path, victim, bad):
+    net, opt = _tiny_train_objects(7)
+    params = [n for n, _ in net.state_arrays()]
+    name = {"last parameter": f"param/{params[-1]}", "first moment": f"adam_m/{params[0]}"}.get(victim, victim)
+    records = dict([(f"param/{n}", a) for n, a in net.state_arrays()] + opt.state_records())
+    if bad is None:
+        del records[name]
+    else:
+        records[name] = bad
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, net.cfg, list(records.items()))
+    other, other_opt = _tiny_train_objects(1)
+    before = _train_state(other, other_opt)
+    with pytest.raises(CheckpointError):
+        load_train_checkpoint(path, other, other_opt)
+    assert _same_state(_train_state(other, other_opt), before)
+
+
+def test_checkpoint_rejects_shape_numpy_cannot_hold(tmp_path):
+    # rank 70 reads 69 more extents from the zero payload: an empty array of 70 dimensions
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, tiny_model_config(), [("param/a", np.zeros(100))])
+    path.write_bytes(path.read_bytes().replace(b"param/a\x01", b"param/a\x46"))
+    with pytest.raises(CheckpointError, match="shape"):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def train_checkpoint(tmp_path_factory):
+    """A tiny model's checkpoint with optimizer moments and a step count."""
+    net, opt = _tiny_train_objects(7)
+    g = rng(4)
+    for _, p in net.named_parameters():
+        p.grad = g.standard_normal(p.data.shape)
+    opt.step(1e-3)
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_train_checkpoint(path, net, opt, 3, 5)
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_damaged_train_checkpoint_loads_or_raises_checkpoint_error(train_checkpoint, data):
+    blob = train_checkpoint.read_bytes()
+    # Most of the file is float payload. Positions near the start cover the
+    # header, the config and the first records' names and shapes; positions
+    # near the end cover the counters. The special bytes make infinities,
+    # NaNs, sign flips and zero or huge extents.
+    n = len(blob)
+    at = data.draw(st.one_of(st.integers(0, 2000), st.integers(n - 200, n - 1), st.integers(0, n - 1)), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        blob = blob[:at]
+    else:
+        byte = data.draw(
+            st.one_of(st.sampled_from([0x00, 0x01, 0x46, 0x7F, 0x80, 0xFF]), st.integers(0, 255))
+            .filter(lambda b: b != blob[at]),
+            label="byte",
+        )
+        blob = blob[:at] + bytes([byte]) + blob[at + 1 :]
+    path = train_checkpoint.with_name("damaged.ckpt")
+    path.write_bytes(blob)
+    net, opt = _tiny_train_objects(1)
+    before = _train_state(net, opt)
+    try:
+        load_train_checkpoint(path, net, opt)
+    except CheckpointError:
+        assert _same_state(_train_state(net, opt), before)
