@@ -24,13 +24,14 @@ lists comma-separated.
     beta1, beta2, adam_eps, weight_decay, seed, data_count, split_ratio
 
 Extents, widths, counts and ladder entries are positive integers, seed is a
-non-negative integer and split_ratio lies in (0, 1]. The region decoder's
-eye-band rows are not a key: they follow from face_size through the scene
-geometry (:attr:`ModelConfig.band_rows`).
+non-negative integer, every float is finite and split_ratio lies in (0, 1].
+The region decoder's eye-band rows are not a key: they follow from face_size
+through the scene geometry (:attr:`ModelConfig.band_rows`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .synth import default_geometry
@@ -39,9 +40,10 @@ from .tensor import ConfigError
 CONFIG_VERSION = 1
 
 
-def _check_counts(cfg, exempt=()) -> None:
-    """ConfigError naming the key unless every int field is >= 1 and every int
-    ladder is non-empty with entries >= 1; fields in ``exempt`` are skipped."""
+def _check_fields(cfg, exempt=()) -> None:
+    """ConfigError naming the key unless every int field is >= 1, every int
+    ladder is non-empty with entries >= 1 and every float field is finite;
+    fields in ``exempt`` are skipped."""
     for f in fields(cfg):
         if f.name in exempt:
             continue
@@ -50,6 +52,8 @@ def _check_counts(cfg, exempt=()) -> None:
             raise ConfigError(f"{f.name} must be >= 1, got {value}")
         if f.type.startswith("tuple[int") and (not value or min(value) < 1):
             raise ConfigError(f"{f.name} must be non-empty with entries >= 1, got {value}")
+        if f.type == "float" and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -90,7 +94,7 @@ class ModelConfig:
         return default_geometry(self.face_size).band_rows
 
     def validate(self) -> None:
-        _check_counts(self)
+        _check_fields(self)
         c, h = self.channels, self.feature_size
         if self.face_size != h * 2 ** len(self.encoder_channels):
             raise ConfigError("face_size must be feature_size * 2^(encoder stages)")
@@ -132,7 +136,7 @@ class TrainConfig:
     split_ratio: float = 0.8
 
     def validate(self) -> None:
-        _check_counts(self, exempt=("seed", "lr_milestones"))
+        _check_fields(self, exempt=("seed", "lr_milestones"))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.split_ratio <= 1:

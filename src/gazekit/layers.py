@@ -1,9 +1,14 @@
 """Parameterized layers: 2-d convolution, transposed convolution, linear maps,
 and the pooling reductions used by the attention blocks.
 
-Convolution follows the cross-correlation convention (no kernel flip) and is
-implemented as im2col + batched matmul; the transposed convolution is its
-exact adjoint (col2im of the weight-projected input).
+Convolution follows the cross-correlation convention (no kernel flip). Both
+conv ops rest on one adjoint pair: ``_im2col`` gathers the patches of the
+zero-padded input into a (b, c*kh*kw, oh*ow) matrix, and ``_col2im``
+scatter-adds such a matrix back onto an image and drops the padding. conv2d
+is gather then matmul, and its backward is matmul then scatter; the
+transposed convolution, its exact adjoint, is matmul then scatter, and its
+backward is gather then matmul. Where the kernel equals the stride without
+padding the patches tile the image, and both halves of the pair are reshapes.
 """
 
 from __future__ import annotations
@@ -74,25 +79,44 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """(b,c,hp,wp) -> (b, c*kh*kw, oh*ow) patch matrix of the padded input."""
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    b, c, oh, ow = windows.shape[:4]
-    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
+def _tiles(shape, kernel, stride, padding) -> bool:
+    """Whether the patches tile the (b,c,h,w) extents: kernel == stride, no
+    padding, extents divisible. Then gather and scatter are reshapes, and a
+    1x1 kernel makes them views."""
+    h, w = shape[2:]
+    return kernel == stride and padding == (0, 0) and h % kernel[0] == 0 and w % kernel[1] == 0
 
 
-def _col2im(cols: np.ndarray, b, c, hp, wp, kh, kw, sh, sw, oh, ow) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back onto a (b,c,hp,wp) canvas."""
-    out = np.zeros((b, c, hp, wp), dtype=cols.dtype)
+def _im2col(x: np.ndarray, kernel, stride, padding) -> np.ndarray:
+    """(b,c,h,w) -> (b, c*kh*kw, oh*ow) patch matrix of the zero-padded input."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    b, c, h, w = x.shape
+    if _tiles(x.shape, kernel, stride, padding):
+        patches = x.reshape(b, c, h // kh, kh, w // kw, kw).transpose(0, 1, 3, 5, 2, 4)
+    else:
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        patches = sliding_window_view(xp, kernel, axis=(2, 3))[:, :, ::sh, ::sw].transpose(0, 1, 4, 5, 2, 3)
+    return patches.reshape(b, c * kh * kw, -1)
+
+
+def _col2im(cols: np.ndarray, shape, kernel, stride, padding) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add the patch matrix onto a zero (b,c,h,w)
+    canvas; what lands in the padding is dropped."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    b, c, h, w = shape
+    if _tiles(shape, kernel, stride, padding):
+        return cols.reshape(b, c, kh, kw, h // kh, w // kw).transpose(0, 1, 4, 2, 5, 3).reshape(shape)
+    oh, ow = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+    out = np.zeros((b, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     patches = cols.reshape(b, c, kh, kw, oh, ow)
     for i in range(kh):
         for j in range(kw):
             out[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += patches[:, :, i, j]
-    return out
+    return out[:, :, ph : ph + h, pw : pw + w]
 
 
 class Conv2d(Module):
-    """Cross-correlation with per-output-channel bias."""
+    """Cross-correlation with per-output-channel bias; weight (out, in, kh, kw)."""
 
     def __init__(self, in_channels, out_channels, kernel, stride=1, padding=0, rng: Optional[np.random.Generator] = None):
         self.in_channels = in_channels
@@ -102,15 +126,22 @@ class Conv2d(Module):
         self.padding = _pair(padding)
         kh, kw = self.kernel
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.weight = init_uniform(rng, (out_channels, in_channels, kh, kw), in_channels * kh * kw)
+        self.weight = init_uniform(rng, self._weight_shape(), in_channels * kh * kw)
         self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
 
+    def _weight_shape(self) -> tuple[int, ...]:
+        return (self.out_channels, self.in_channels, *self.kernel)
+
+    def _input_shape(self, x: Tensor) -> tuple[int, ...]:
+        """(b, c, h, w) of ``x``; DimensionError unless it is 4-d with in_channels channels."""
+        shape = x.data.shape
+        if len(shape) != 4 or shape[1] != self.in_channels:
+            raise DimensionError(f"{type(self).__name__} expects (b, {self.in_channels}, h, w) input, got {shape}")
+        return shape
+
     def out_extents(self, h: int, w: int) -> tuple[int, int]:
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
-        oh = (h + 2 * ph - kh) // sh + 1
-        ow = (w + 2 * pw - kw) // sw + 1
+        (kh, kw), (sh, sw), (ph, pw) = self.kernel, self.stride, self.padding
+        oh, ow = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
         if oh <= 0 or ow <= 0:
             raise DimensionError(f"conv output extents {oh}x{ow} not positive for input {h}x{w}")
         return oh, ow
@@ -120,64 +151,33 @@ class Conv2d(Module):
 
 
 def conv2d(layer: Conv2d, x: Tensor) -> Tensor:
-    xd = x.data
-    if xd.ndim != 4:
-        raise DimensionError(f"conv2d expects b x c x h x w input, got {xd.shape}")
-    b, c, h, w = xd.shape
-    if c != layer.in_channels:
-        raise DimensionError(f"conv2d expected {layer.in_channels} input channels, got {c}")
-    kh, kw = layer.kernel
-    sh, sw = layer.stride
-    ph, pw = layer.padding
+    b, _, h, w = shape = layer._input_shape(x)
     oh, ow = layer.out_extents(h, w)
-    pointwise = (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0)
-
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
-    if pointwise:
-        cols = xd.reshape(b, c, h * w)  # pure view
-    else:
-        cols = _im2col(xp, kh, kw, sh, sw)  # (b, c*kh*kw, P)
+    geometry = layer.kernel, layer.stride, layer.padding
+    cols = _im2col(x.data, *geometry)  # (b, c*kh*kw, oh*ow)
     wflat = layer.weight.data.reshape(layer.out_channels, -1)
-    out = np.matmul(wflat, cols)  # (b, out_c, P), already in output layout
-    out = out.reshape(b, layer.out_channels, oh, ow)
+    out = np.matmul(wflat, cols).reshape(b, layer.out_channels, oh, ow)
     out += layer.bias.data[None, :, None, None]
-
-    hp, wp = xp.shape[2], xp.shape[3]
 
     def back(g):
         g3 = g.reshape(b, layer.out_channels, oh * ow)
-        db = g.sum(axis=(0, 2, 3))
         dw = np.tensordot(g3, cols, axes=([0, 2], [0, 2])).reshape(layer.weight.data.shape)
-        dcols = np.matmul(wflat.T, g3)  # (b, c*kh*kw, P)
-        if pointwise:
-            return dcols.reshape(b, c, h, w), dw, db
-        dxp = _col2im(dcols, b, c, hp, wp, kh, kw, sh, sw, oh, ow)
-        dx = dxp[:, :, ph : hp - ph, pw : wp - pw] if (ph or pw) else dxp
-        return dx, dw, db
+        dx = _col2im(np.matmul(wflat.T, g3), shape, *geometry)
+        return dx, dw, g.sum(axis=(0, 2, 3))
 
     return apply_op((x, layer.weight, layer.bias), out, back)
 
 
-class ConvTranspose2d(Module):
-    """Adjoint of Conv2d: output extent (in-1)*stride - 2*padding + kernel."""
+class ConvTranspose2d(Conv2d):
+    """Adjoint of Conv2d; weight (in, out, kh, kw), output extent
+    (in-1)*stride - 2*padding + kernel."""
 
-    def __init__(self, in_channels, out_channels, kernel, stride=1, padding=0, rng: Optional[np.random.Generator] = None):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel = _pair(kernel)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
-        kh, kw = self.kernel
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.weight = init_uniform(rng, (in_channels, out_channels, kh, kw), in_channels * kh * kw)
-        self.bias = Tensor(np.zeros(out_channels), requires_grad=True)
+    def _weight_shape(self) -> tuple[int, ...]:
+        return (self.in_channels, self.out_channels, *self.kernel)
 
     def out_extents(self, h: int, w: int) -> tuple[int, int]:
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
-        oh = (h - 1) * sh - 2 * ph + kh
-        ow = (w - 1) * sw - 2 * pw + kw
+        (kh, kw), (sh, sw), (ph, pw) = self.kernel, self.stride, self.padding
+        oh, ow = (h - 1) * sh - 2 * ph + kh, (w - 1) * sw - 2 * pw + kw
         if oh <= 0 or ow <= 0:
             raise DimensionError(f"conv_transpose output extents {oh}x{ow} not positive")
         return oh, ow
@@ -187,43 +187,18 @@ class ConvTranspose2d(Module):
 
 
 def conv_transpose2d(layer: ConvTranspose2d, x: Tensor) -> Tensor:
-    xd = x.data
-    if xd.ndim != 4:
-        raise DimensionError(f"conv_transpose2d expects b x c x h x w input, got {xd.shape}")
-    b, c, h, w = xd.shape
-    if c != layer.in_channels:
-        raise DimensionError(f"conv_transpose2d expected {layer.in_channels} input channels, got {c}")
-    kh, kw = layer.kernel
-    sh, sw = layer.stride
-    ph, pw = layer.padding
-    oh, ow = layer.out_extents(h, w)
-    hp, wp = oh + 2 * ph, ow + 2 * pw
-    out_c = layer.out_channels
-    # kernel == stride without padding tiles the output; scatter is a reshape
-    tiled = (sh, sw, ph, pw) == (kh, kw, 0, 0)
-
-    xf = xd.reshape(b, c, h * w)  # pure view
+    b, c, h, w = layer._input_shape(x)
+    geometry = layer.kernel, layer.stride, layer.padding
+    xf = x.data.reshape(b, c, h * w)
     wflat = layer.weight.data.reshape(c, -1)  # (c, out_c*kh*kw)
-    cols = np.matmul(wflat.T, xf)  # (b, out_c*kh*kw, P_in)
-    if tiled:
-        out = cols.reshape(b, out_c, kh, kw, h, w).transpose(0, 1, 4, 2, 5, 3).reshape(b, out_c, oh, ow)
-    else:
-        padded = _col2im(cols, b, out_c, hp, wp, kh, kw, sh, sw, h, w)
-        out = padded[:, :, ph : hp - ph, pw : wp - pw] if (ph or pw) else padded
-        if ph or pw:
-            out = np.ascontiguousarray(out)
+    out = _col2im(np.matmul(wflat.T, xf), (b, layer.out_channels, *layer.out_extents(h, w)), *geometry)
     out += layer.bias.data[None, :, None, None]
 
     def back(g):
-        if tiled:
-            gcols = g.reshape(b, out_c, h, kh, w, kw).transpose(0, 1, 3, 5, 2, 4).reshape(b, -1, h * w)
-        else:
-            gp = np.pad(g, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else g
-            gcols = _im2col(gp, kh, kw, sh, sw)  # (b, out_c*kh*kw, P_in)
+        gcols = _im2col(g, *geometry)  # (b, out_c*kh*kw, h*w)
         dx = np.matmul(wflat, gcols).reshape(b, c, h, w)
         dw = np.tensordot(xf, gcols, axes=([0, 2], [0, 2])).reshape(layer.weight.data.shape)
-        db = g.sum(axis=(0, 2, 3))
-        return dx, dw, db
+        return dx, dw, g.sum(axis=(0, 2, 3))
 
     return apply_op((x, layer.weight, layer.bias), out, back)
 

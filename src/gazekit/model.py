@@ -119,9 +119,8 @@ class EyeEncoder(Module):
     def __init__(self, cfg: ModelConfig, rng):
         self.stack = ConvStack(3, cfg.eye_channels, rng)
         h, w = cfg.eye_hw
-        for _ in cfg.eye_channels:
-            h = (h - 1) // 2 + 1
-            w = (w - 1) // 2 + 1
+        for stage in self.stack.stages:
+            h, w = stage.out_extents(h, w)
         self.per_eye = cfg.eye_channels[-1] * h * w
 
     @property

@@ -242,6 +242,8 @@ def make_sample(
     eye_hw: tuple[int, int],
     dtype=np.float32,
 ) -> GazeSample:
+    if base_seed < 0 or index < 0:
+        raise ConfigError(f"render seed and index must be non-negative, got seed {base_seed}, index {index}")
     sample_seed = base_seed * 1_000_003 + index
     rng = np.random.default_rng(sample_seed)
     limit = math.radians(MAX_ANGLE_DEG)

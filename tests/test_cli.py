@@ -16,7 +16,7 @@ from gazekit.config import (
 from gazekit.model import GazeNet
 from gazekit.synth import default_geometry, dump_split, load_split, dataset_generate
 from gazekit.tensor import ConfigError, UsageError
-from gazekit.train import train_loop
+from gazekit.train import save_train_checkpoint, train_loop
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +75,15 @@ def test_config_validation_catches_bad_groups():
         ("data_count", "0"),
         ("split_ratio", "0"),
         ("split_ratio", "1.5"),
+        ("base_lr", "nan"),
+        ("sigma", "nan"),
+        ("weight_decay", "nan"),
+        ("adam_eps", "nan"),
+        ("lambda_eye", "nan"),
+        ("base_lr", "inf"),
+        ("sigma", "inf"),
+        ("lambda_region", "inf"),
+        ("weight_decay", "inf"),
     ],
 )
 def test_config_boundary_values_raise_config_error_naming_the_key(key, value):
@@ -224,6 +233,19 @@ def test_cli_dump_attention_rejects_sample_outside_test_split(tiny_data_dir, tmp
     args = ["dump-attention", "--checkpoint", str(tmp_path / "none.ckpt"), "--data", tiny_data_dir]
     with pytest.raises(UsageError, match=rf"--sample {sample} .*\(6 samples\)"):
         main([*args, "--sample", sample, "--out", str(tmp_path / "maps")])
+
+
+def test_cli_gen_data_rejects_negative_seed(tmp_path):
+    with pytest.raises(ConfigError, match="seed -1"):
+        main(["gen-data", "--seed", "-1", "--count", "2", "--face-size", "16", "--eye-size", "8", "8", "--out", str(tmp_path)])
+
+
+def test_cli_dump_attention_rejects_negative_render_seed(tmp_path):
+    # without --data, --sample is the seed a sample is rendered from
+    ckpt = tmp_path / "model.ckpt"
+    save_train_checkpoint(ckpt, GazeNet(tiny_model_config()), None, 0, 0)
+    with pytest.raises(ConfigError, match="seed -1"):
+        main(["dump-attention", "--checkpoint", str(ckpt), "--sample", "-1", "--out", str(tmp_path / "maps")])
 
 
 def test_cli_train_deterministic_metrics(tiny_cfg_file, tiny_data_dir, tmp_path):

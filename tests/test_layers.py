@@ -89,11 +89,24 @@ def test_conv_window_sum():
     np.testing.assert_array_equal(out.data, [[[[9.0]]]])
 
 
-@pytest.mark.parametrize("stride,pad", [(1, 0), (2, 1), ((2, 1), (0, 1))])
-def test_conv_vs_six_loop_oracle(stride, pad):
-    layer = Conv2d(3, 4, 3, stride, pad, rng=rng(3))
+@pytest.mark.parametrize(
+    "kernel,stride,pad,hw",
+    [
+        (3, 1, 0, (8, 8)),
+        (3, 2, 1, (8, 8)),
+        (3, (2, 1), (0, 1), (8, 8)),
+        # kernel == stride: the patches tile the input, or miss its last row and column
+        (1, 1, 0, (8, 8)),
+        (2, 2, 0, (8, 8)),
+        ((3, 5), (3, 5), 0, (9, 10)),
+        (3, 3, 0, (8, 8)),
+    ],
+    ids=["1-0", "2-1", "stride2-pad2", "1x1", "2x2s2", "3x5s3x5", "3x3s3-drops-edge"],
+)
+def test_conv_vs_six_loop_oracle(kernel, stride, pad, hw):
+    layer = Conv2d(3, 4, kernel, stride, pad, rng=rng(3))
     layer.bias.data[:] = rng(4).normal(size=4)
-    x = rng(5).normal(size=(2, 3, 8, 8))
+    x = rng(5).normal(size=(2, 3, *hw))
     got = conv2d(layer, Tensor(x)).data
     want = conv_oracle(x, layer.weight.data, layer.bias.data, layer.stride, layer.padding)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -107,15 +120,17 @@ def test_conv_channel_mismatch():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_conv_gradcheck(seed):
-    layer = Conv2d(2, 3, 3, 2, 1, rng=rng(seed))
-    x = Tensor(rng(seed + 50).normal(size=(2, 2, 5, 5)), requires_grad=True)
+    # a padded stride-2 geometry and a tiled one (kernel == stride)
+    for kernel, stride, pad, n in ((3, 2, 1, 5), (2, 2, 0, 4)):
+        layer = Conv2d(2, 3, kernel, stride, pad, rng=rng(seed))
+        x = Tensor(rng(seed + 50).normal(size=(2, 2, n, n)), requires_grad=True)
 
-    def f(t):
-        return sum_(T.sigmoid(conv2d(layer, t)))
+        def f(t):
+            return sum_(T.sigmoid(conv2d(layer, t)))
 
-    assert finite_diff_check(f, x) < 1e-5
-    assert finite_diff_check(lambda _: sum_(T.sigmoid(conv2d(layer, x))), layer.weight) < 1e-5
-    assert finite_diff_check(lambda _: sum_(T.sigmoid(conv2d(layer, x))), layer.bias) < 1e-5
+        assert finite_diff_check(f, x) < 1e-5
+        assert finite_diff_check(lambda _: sum_(T.sigmoid(conv2d(layer, x))), layer.weight) < 1e-5
+        assert finite_diff_check(lambda _: sum_(T.sigmoid(conv2d(layer, x))), layer.bias) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +164,23 @@ def test_convt_vs_naive_scatter_oracle(stride, pad):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
-def test_convt_is_adjoint_of_conv():
+@pytest.mark.parametrize(
+    "kernel,stride,pad,n",
+    [(1, 1, 0, 5), (2, 2, 0, 6), (3, 2, 1, 5), (7, 1, 3, 5)],
+    ids=["1x1", "2x2s2", "3x3s2p1", "7x7p3"],
+)
+def test_convt_is_adjoint_of_conv(kernel, stride, pad, n):
     # <conv(z), x> differentiated in z is exactly the transposed conv of x
-    conv = Conv2d(2, 3, 3, 2, 1, rng=rng(9))
+    conv = Conv2d(2, 3, kernel, stride, pad, rng=rng(9))
     conv.bias.data[:] = 0.0
-    x = rng(10).normal(size=(2, 3, 3, 3))
-    z = Tensor(rng(11).normal(size=(2, 2, 5, 5)), requires_grad=True)
+    x = rng(10).normal(size=(2, 3, *conv.out_extents(n, n)))
+    z = Tensor(rng(11).normal(size=(2, 2, n, n)), requires_grad=True)
     with Tape():
         y = conv2d(conv, z)
         loss = sum_(T.mul(y, Tensor(x)))
         backward(loss)
     # conv weight (out,in,kh,kw) is read as convT weight (in,out,kh,kw) directly
-    up = ConvTranspose2d(3, 2, 3, 2, 1, rng=rng(12))
+    up = ConvTranspose2d(3, 2, kernel, stride, pad, rng=rng(12))
     up.weight.data = conv.weight.data.copy()
     up.bias.data[:] = 0.0
     want = conv_transpose2d(up, Tensor(x)).data
